@@ -1,13 +1,10 @@
 package main
 
 // Catalog glue: the runner wrapper that executes snapshot-catalog chain
-// steps with per-run tracing (including snapshot lineage ids), and the
-// catalog gauges on /metrics and /stats.
+// steps with per-run tracing (including snapshot lineage ids).
 
 import (
 	"context"
-	"fmt"
-	"net/http"
 
 	"affidavit"
 	"affidavit/internal/jobs"
@@ -37,50 +34,4 @@ func (s *server) runCatalogStep(ctx context.Context, rec jobs.Record, payload an
 		s.storeTrace(tr)
 	}
 	return out, err
-}
-
-// catalogStats is the /stats catalog section, mirroring the
-// affidavit_catalog_* series on /metrics.
-type catalogStats struct {
-	Tables         int   `json:"tables"`
-	Snapshots      int   `json:"snapshots"`
-	StepsPending   int   `json:"steps_pending"`
-	StepsExplained int   `json:"steps_explained"`
-	StepsFailed    int   `json:"steps_failed"`
-	SchemaResets   int64 `json:"schema_resets"`
-	// JournalError warns that the catalog journal degraded to
-	// availability-over-durability (first latched write failure).
-	JournalError string `json:"journal_error,omitempty"`
-}
-
-func (s *server) catalogStats() catalogStats {
-	m := s.catalog.Store().Metrics()
-	return catalogStats{
-		Tables:         m.Tables,
-		Snapshots:      m.Snapshots,
-		StepsPending:   m.StepsPending,
-		StepsExplained: m.StepsExplained,
-		StepsFailed:    m.StepsFailed,
-		SchemaResets:   s.catalog.SchemaResets(),
-		JournalError:   m.JournalError,
-	}
-}
-
-// writeCatalogMetrics appends the catalog gauges to /metrics in fixed
-// order.
-func (s *server) writeCatalogMetrics(w http.ResponseWriter) {
-	m := s.catalog.Store().Metrics()
-	for _, row := range []struct {
-		name, typ, help string
-		value           int64
-	}{
-		{"affidavit_catalog_tables", "gauge", "Registered catalog tables.", int64(m.Tables)},
-		{"affidavit_catalog_snapshots", "gauge", "Snapshots stored across all catalog tables.", int64(m.Snapshots)},
-		{"affidavit_catalog_steps_pending", "gauge", "Chain steps queued or running.", int64(m.StepsPending)},
-		{"affidavit_catalog_steps_explained", "gauge", "Chain steps with a stored explanation.", int64(m.StepsExplained)},
-		{"affidavit_catalog_steps_failed", "gauge", "Chain steps that refused or failed to explain.", int64(m.StepsFailed)},
-		{"affidavit_catalog_schema_resets_total", "counter", "Chain re-seeds caused by mid-chain schema changes.", s.catalog.SchemaResets()},
-	} {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %d\n", row.name, row.help, row.name, row.typ, row.name, row.value)
-	}
 }

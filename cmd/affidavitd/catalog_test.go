@@ -8,11 +8,13 @@ import (
 	"mime/multipart"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"affidavit"
+	"affidavit/internal/registry"
 )
 
 // registerTable POSTs /tables and returns the status code and body.
@@ -453,5 +455,112 @@ func TestCatalogMetrics(t *testing.T) {
 	}
 	if st.Catalog.Tables != 1 || st.Catalog.Snapshots != 1 {
 		t.Errorf("stats catalog section = %+v", st.Catalog)
+	}
+}
+
+// TestEvictedChainMatchesRestart: catalog chains share the -max-sessions
+// cap with /explain sessions. With a cap of 1, an /explain upload evicts
+// the chain's warm session; the next push re-seeds from the parent blob
+// and must store exactly the bytes a restarted daemon stores for the same
+// step.
+func TestEvictedChainMatchesRestart(t *testing.T) {
+	ch := testChain(t, 3)
+	pushAll := func(srv *httptest.Server, snaps []int) []byte {
+		t.Helper()
+		var last []byte
+		for _, i := range snaps {
+			code, body, hdr := pushSnapshot(t, srv, "evict", csvOf(t, ch.Snapshots[i]), nil)
+			if code != http.StatusOK && code != http.StatusCreated {
+				t.Fatalf("push %d: status %d: %s", i, code, body)
+			}
+			if id := hdr.Get("X-Affidavit-Job-Id"); id != "" {
+				last = []byte(get(t, srv.URL+"/jobs/"+id+"/result"))
+			}
+		}
+		return last
+	}
+
+	evicting := mustServer(t, serverConfig{options: testOptions(), jobsDir: t.TempDir(), maxSessions: 1})
+	t.Cleanup(func() { evicting.Close() })
+	srv := httptest.NewServer(evicting.handler())
+	t.Cleanup(srv.Close)
+	registerTable(t, srv, "evict")
+	pushAll(srv, []int{0, 1})
+	// Same table name, other namespace: the /explain session takes the
+	// only slot.
+	if code, body := post(t, srv, csvOf(t, ch.Snapshots[0]), csvOf(t, ch.Snapshots[1]),
+		map[string]string{"table": "evict"}); code != http.StatusOK {
+		t.Fatalf("explain: status %d: %s", code, body)
+	}
+	if _, ok := evicting.registry.Get(registry.Key{Namespace: "catalog", Table: "evict"}); ok {
+		t.Fatal("the /explain session did not evict the catalog chain")
+	}
+	evicted := pushAll(srv, []int{2})
+
+	dir := t.TempDir()
+	before := mustServer(t, serverConfig{options: testOptions(), jobsDir: dir})
+	srvBefore := httptest.NewServer(before.handler())
+	registerTable(t, srvBefore, "evict")
+	pushAll(srvBefore, []int{0, 1})
+	srvBefore.Close()
+	if err := before.Close(); err != nil {
+		t.Fatal(err)
+	}
+	restarted := mustServer(t, serverConfig{options: testOptions(), jobsDir: dir})
+	t.Cleanup(func() { restarted.Close() })
+	srvAfter := httptest.NewServer(restarted.handler())
+	t.Cleanup(srvAfter.Close)
+	if got := pushAll(srvAfter, []int{2}); !bytes.Equal(got, evicted) {
+		t.Errorf("evicted chain stored different bytes than a restarted daemon:\nevicted:\n%s\nrestarted:\n%s", evicted, got)
+	}
+	if len(evicted) == 0 {
+		t.Error("no stored result for the step after eviction")
+	}
+}
+
+// TestEvictedChainInMemory: without -jobs-dir the blob store keeps no
+// bytes, so an evicted chain cannot re-seed from its parent. The step
+// after the eviction fails with a clear error, and the chain continues
+// from that snapshot: the push after it is explained again.
+func TestEvictedChainInMemory(t *testing.T) {
+	ch := testChain(t, 4)
+	s := mustServer(t, serverConfig{options: testOptions(), maxSessions: 1})
+	t.Cleanup(func() { s.Close() })
+	srv := httptest.NewServer(s.handler())
+	t.Cleanup(srv.Close)
+	registerTable(t, srv, "mem")
+	push := func(i, want int) []byte {
+		t.Helper()
+		code, body, _ := pushSnapshot(t, srv, "mem", csvOf(t, ch.Snapshots[i]), nil)
+		if code != want {
+			t.Fatalf("push %d: status %d, want %d: %s", i, code, want, body)
+		}
+		return body
+	}
+	push(0, http.StatusCreated)
+	push(1, http.StatusOK)
+	if code, body := post(t, srv, csvOf(t, ch.Snapshots[0]), csvOf(t, ch.Snapshots[1]),
+		map[string]string{"table": "mem"}); code != http.StatusOK {
+		t.Fatalf("explain: status %d: %s", code, body)
+	}
+	if body := push(2, http.StatusUnprocessableEntity); !strings.Contains(string(body), "chain continues") {
+		t.Errorf("evicted-chain error not clear: %s", body)
+	}
+	push(3, http.StatusOK)
+
+	var hist struct {
+		Steps []struct {
+			Status string `json:"status"`
+		} `json:"steps"`
+	}
+	if err := json.Unmarshal([]byte(get(t, srv.URL+"/tables/mem/history")), &hist); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, step := range hist.Steps {
+		got = append(got, step.Status)
+	}
+	if want := []string{"explained", "failed", "explained"}; !slices.Equal(got, want) {
+		t.Errorf("step statuses %v, want %v", got, want)
 	}
 }

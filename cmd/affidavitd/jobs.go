@@ -1,11 +1,9 @@
 package main
 
 // Job-subsystem glue: the runner that executes queued jobs through the
-// per-table session machinery, the /jobs API surface, and the job
-// gauges/counters on /metrics and /stats.
+// per-table session machinery, and the /jobs API surface.
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -53,10 +51,10 @@ func (s *server) runJob(ctx context.Context, rec jobs.Record, payload any) (*job
 	}
 	if src == nil || tgt == nil {
 		var err error
-		if src, err = s.ingestBlob(ctx, rec.SourceBlob, "source"); err != nil {
+		if src, err = s.ingest.Ingest(ctx, rec.SourceBlob, "source"); err != nil {
 			return nil, err
 		}
-		if tgt, err = s.ingestBlob(ctx, rec.TargetBlob, "target"); err != nil {
+		if tgt, err = s.ingest.Ingest(ctx, rec.TargetBlob, "target"); err != nil {
 			return nil, err
 		}
 	}
@@ -107,21 +105,6 @@ func (s *server) runJob(ctx context.Context, rec jobs.Record, payload any) (*job
 	return out, nil
 }
 
-// ingestBlob re-interns a journaled upload for a replayed job. Failures
-// are transient: the blob may be on slow or briefly unavailable storage,
-// and a retry with backoff is cheaper than failing a durable job.
-func (s *server) ingestBlob(ctx context.Context, hash, role string) (*affidavit.Table, error) {
-	data, err := s.store.Blobs().Get(hash)
-	if err != nil {
-		return nil, jobs.Transient(fmt.Errorf("replaying %s upload: %w", role, err))
-	}
-	tab, err := s.ex.ReadSourceNamed(ctx, affidavit.NewCSVSource(bytes.NewReader(data)), role)
-	if err != nil {
-		return nil, fmt.Errorf("re-ingesting %s upload: %w", role, err)
-	}
-	return tab, nil
-}
-
 // jobView is the /jobs wire shape of one job record. Fields mirror
 // jobs.Record (a fixed struct, so encoding is deterministic) plus the
 // result link.
@@ -170,15 +153,6 @@ func viewOf(rec jobs.Record) jobView {
 	return v
 }
 
-// writeIndentJSON encodes v as indented JSON.
-func writeIndentJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
-}
-
 // writeJobAccepted answers an async submission: 202 Accepted with the
 // job id and where to poll. Joining an existing job (the dedupe hit)
 // looks identical — the id is the content address either way.
@@ -187,7 +161,7 @@ func (s *server) writeJobAccepted(w http.ResponseWriter, job *jobs.Job) {
 	if rec.TraceID != "" {
 		w.Header().Set("X-Affidavit-Trace-Id", rec.TraceID)
 	}
-	writeIndentJSON(w, http.StatusAccepted, struct {
+	jobs.WriteJSON(w, http.StatusAccepted, struct {
 		JobID  string `json:"job_id"`
 		State  string `json:"state"`
 		Status string `json:"status"`
@@ -201,56 +175,37 @@ func (s *server) writeJobAccepted(w http.ResponseWriter, job *jobs.Job) {
 }
 
 // writeJobOutcome renders a terminal job record as the sync /explain
-// response: the stored result bytes (byte-identical across dedupe
-// joiners), the 503 + partial-stats answer for deadline cuts, or the
-// error text.
+// response (jobs.WriteOutcome): the stored result bytes are
+// byte-identical across dedupe joiners, except that ?trace=1 inlines the
+// run's retained trace into a JSON result.
 func (s *server) writeJobOutcome(w http.ResponseWriter, rec jobs.Record, inlineTrace bool) {
-	if rec.TraceID != "" {
-		w.Header().Set("X-Affidavit-Trace-Id", rec.TraceID)
-	}
-	switch rec.State {
-	case jobs.StateCompleted:
-		body, rec2, err := s.store.Result(rec.ID)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
+	if inlineTrace && rec.State == jobs.StateCompleted {
+		if jr := s.tracedResult(rec); jr != nil {
+			w.Header().Set("X-Affidavit-Trace-Id", rec.TraceID)
+			jobs.WriteJSON(w, http.StatusOK, jr)
 			return
 		}
-		// ?trace=1 inlines the run's retained trace into a JSON result;
-		// plain responses serve the stored bytes untouched.
-		if inlineTrace && (rec2.Format == "" || rec2.Format == "json") {
-			if tr := s.traceByID(rec2.TraceID); tr != nil {
-				var jr affidavit.JSONResult
-				if json.Unmarshal(body, &jr) == nil {
-					jr.Trace = tr
-					if out, merr := json.MarshalIndent(jr, "", "  "); merr == nil {
-						body = append(out, '\n')
-					}
-				}
-			}
-		}
-		w.Header().Set("Content-Type", rec2.ContentType)
-		w.Write(body)
-	case jobs.StateError:
-		if rec.Deadline {
-			var st affidavit.JSONStats
-			if len(rec.Stats) > 0 {
-				json.Unmarshal(rec.Stats, &st)
-			}
-			st.Cancelled = false // the 503 body's error field already says it
-			writeIndentJSON(w, http.StatusServiceUnavailable, deadlineResponse{
-				Error: rec.Error,
-				Table: rec.Table,
-				Stats: st,
-			})
-			return
-		}
-		http.Error(w, rec.Error, http.StatusUnprocessableEntity)
-	case jobs.StateCancelled:
-		http.Error(w, "job "+rec.ID+" was cancelled", http.StatusConflict)
-	default:
-		// Unreachable: Wait only returns terminal records.
-		http.Error(w, "job "+rec.ID+" is "+string(rec.State), http.StatusInternalServerError)
 	}
+	jobs.WriteOutcome(w, s.store, rec)
+}
+
+// tracedResult is a completed JSON job's stored result with the run's
+// retained trace inlined, or nil when either is unavailable.
+func (s *server) tracedResult(rec jobs.Record) *affidavit.JSONResult {
+	tr := s.traceByID(rec.TraceID)
+	if tr == nil || (rec.Format != "" && rec.Format != "json") {
+		return nil
+	}
+	body, _, err := s.store.Result(rec.ID)
+	if err != nil {
+		return nil
+	}
+	var jr affidavit.JSONResult
+	if json.Unmarshal(body, &jr) != nil {
+		return nil
+	}
+	jr.Trace = tr
+	return &jr
 }
 
 // handleJobs serves GET /jobs: every job record in submission order —
@@ -265,7 +220,7 @@ func (s *server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	for i, rec := range recs {
 		views[i] = viewOf(rec)
 	}
-	writeIndentJSON(w, http.StatusOK, struct {
+	jobs.WriteJSON(w, http.StatusOK, struct {
 		Jobs []jobView `json:"jobs"`
 	}{views})
 }
@@ -307,7 +262,7 @@ func (s *server) handleJob(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		w.Header().Set("X-Affidavit-Job-Id", rec.ID)
-		writeIndentJSON(w, http.StatusOK, viewOf(rec))
+		jobs.WriteJSON(w, http.StatusOK, viewOf(rec))
 	case http.MethodDelete:
 		if sub != "" {
 			http.Error(w, "DELETE targets /jobs/{id}", http.StatusMethodNotAllowed)
@@ -319,64 +274,8 @@ func (s *server) handleJob(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		w.Header().Set("X-Affidavit-Job-Id", rec.ID)
-		writeIndentJSON(w, http.StatusOK, viewOf(rec))
+		jobs.WriteJSON(w, http.StatusOK, viewOf(rec))
 	default:
 		http.Error(w, "GET or DELETE", http.StatusMethodNotAllowed)
-	}
-}
-
-// handleMetrics serves GET /metrics: the observer-fed pipeline counters
-// followed by the job-subsystem gauges and counters, in fixed order.
-func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	s.metrics.ServeHTTP(w, r)
-	m := s.store.Metrics()
-	for _, row := range []struct {
-		name, typ, help string
-		value           int64
-	}{
-		{"affidavit_jobs_queued", "gauge", "Jobs waiting in the queue.", int64(m.Queued)},
-		{"affidavit_jobs_running", "gauge", "Jobs currently executing.", int64(m.Running)},
-		{"affidavit_jobs_submitted_total", "counter", "Job submissions that queued a computation.", m.Submitted},
-		{"affidavit_jobs_dedupe_hits_total", "counter", "Submissions served by joining an existing job.", m.DedupeHits},
-		{"affidavit_jobs_completed_total", "counter", "Jobs that completed with a stored result.", m.Completed},
-		{"affidavit_jobs_failed_total", "counter", "Jobs that ended in a terminal error.", m.Failed},
-		{"affidavit_jobs_cancelled_total", "counter", "Jobs cancelled via DELETE /jobs/{id}.", m.Cancelled},
-		{"affidavit_jobs_retried_total", "counter", "Transient failures scheduled for another attempt.", m.Retried},
-		{"affidavit_jobs_requeued_total", "counter", "Runs returned to the queue by crash recovery or shutdown.", m.Requeued},
-	} {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %d\n", row.name, row.help, row.name, row.typ, row.name, row.value)
-	}
-	s.writeCatalogMetrics(w)
-}
-
-// jobsStats is the /stats job section.
-type jobsStats struct {
-	Queued     int   `json:"queued"`
-	Running    int   `json:"running"`
-	Submitted  int64 `json:"submitted"`
-	DedupeHits int64 `json:"dedupe_hits"`
-	Completed  int64 `json:"completed"`
-	Failed     int64 `json:"failed"`
-	Cancelled  int64 `json:"cancelled"`
-	Retried    int64 `json:"retried"`
-	Requeued   int64 `json:"requeued"`
-	// JournalError warns that the durable store degraded to
-	// availability-over-durability (first latched journal write failure).
-	JournalError string `json:"journal_error,omitempty"`
-}
-
-func (s *server) jobsStats() jobsStats {
-	m := s.store.Metrics()
-	return jobsStats{
-		Queued:       m.Queued,
-		Running:      m.Running,
-		Submitted:    m.Submitted,
-		DedupeHits:   m.DedupeHits,
-		Completed:    m.Completed,
-		Failed:       m.Failed,
-		Cancelled:    m.Cancelled,
-		Retried:      m.Retried,
-		Requeued:     m.Requeued,
-		JournalError: m.JournalError,
 	}
 }

@@ -91,8 +91,10 @@
 //	-timeout       per-job explanation budget; on expiry the job fails
 //	               terminally and a sync waiter answers 503 with the
 //	               partial search statistics
-//	-max-sessions  LRU cap on retained per-table sessions
-//	-session-ttl   idle sessions are evicted past this age
+//	-max-sessions  LRU cap on retained sessions: per-table /explain
+//	               sessions and catalog chains share it
+//	-session-ttl   idle sessions (catalog chains included) are evicted
+//	               past this age
 //	-max-upload    cap on each non-file form value, in MiB (file parts
 //	               stream and are not byte-bounded)
 //	-max-records   cap on each streamed snapshot's record count — the
@@ -146,8 +148,8 @@ func main() {
 		catalogDir  = flag.String("catalog-dir", "", "snapshot-history catalog journal root (empty = <jobs-dir>/catalog, or in-memory without -jobs-dir)")
 		jobWorkers  = flag.Int("job-workers", 0, "queue-draining workers; jobs shard by table hash (0 = default 2)")
 		jobRetry    = flag.Int("job-retry", 0, "attempts per job incl. the first; transient failures retry with doubling backoff (0 = default 3)")
-		maxSessions = flag.Int("max-sessions", 0, "retained per-table sessions (0 = unlimited; excess evicts least-recently-used)")
-		sessionTTL  = flag.Duration("session-ttl", 0, "idle session lifetime (0 = sessions never expire)")
+		maxSessions = flag.Int("max-sessions", 0, "retained sessions, /explain tables and catalog chains alike (0 = unlimited; excess evicts least-recently-used)")
+		sessionTTL  = flag.Duration("session-ttl", 0, "idle session lifetime, catalog chains included (0 = sessions never expire)")
 		traceBuffer = flag.Int("trace-buffer", defaultTraceBuffer, "retained run traces behind /traces (0 = disable per-request tracing)")
 		pprofFlag   = flag.Bool("pprof", false, "mount net/http/pprof handlers under /debug/pprof/")
 	)
@@ -186,9 +188,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "affidavitd:", err)
 		os.Exit(2)
 	}
-	if *sessionTTL > 0 {
-		go srv.janitor(ctx)
-	}
+	go srv.registry.Janitor(ctx)
 
 	hs := &http.Server{
 		Addr:        *addr,

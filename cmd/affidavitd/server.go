@@ -2,14 +2,11 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/pprof"
 	"path/filepath"
 	"runtime"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -17,6 +14,8 @@ import (
 	"affidavit"
 	"affidavit/internal/catalog"
 	"affidavit/internal/jobs"
+	"affidavit/internal/prom"
+	"affidavit/internal/registry"
 )
 
 // maxFieldBytes caps each non-file multipart value (table name, format,
@@ -24,9 +23,6 @@ import (
 // the interned columnar backend — so this is the only per-part memory
 // bound the server needs.
 const maxFieldBytes = 1 << 20
-
-// maxFormFields bounds how many non-file parts one upload may carry.
-const maxFormFields = 64
 
 // serverConfig bundles the service knobs so tests and main construct the
 // server the same way.
@@ -61,12 +57,15 @@ type serverConfig struct {
 	// unlimited. On expiry the request answers 503 with the partial search
 	// statistics.
 	timeout time.Duration
-	// maxSessions caps the retained per-table sessions; 0 means unlimited.
-	// Creating a session past the cap evicts the least-recently-used one.
+	// maxSessions caps the retained sessions — /explain tables and catalog
+	// chains alike; 0 means unlimited. Creating a session past the cap
+	// evicts the least-recently-used one.
 	maxSessions int
 	// sessionTTL expires sessions idle longer than this; 0 means sessions
 	// never expire. Eviction frees the table's dictionary pool and warm
-	// state; the next upload for that table simply starts a fresh session.
+	// state; the next upload for that table simply starts a fresh session,
+	// and the next push to an evicted chain re-seeds it from the head
+	// snapshot's blob.
 	sessionTTL time.Duration
 	// traceBuffer caps the ring of recent run traces served by /traces;
 	// 0 disables per-request tracing entirely (no recorder, no
@@ -106,9 +105,10 @@ const defaultTraceBuffer = 128
 // server routes explanation traffic onto per-table affidavit sessions: all
 // uploads naming the same table share one dictionary pool (and, in chain
 // mode, one warm-start tuple), so recurring traffic over the same domain
-// gets cheaper as the service runs. Sessions are bounded two ways — an LRU
-// cap on their count and a TTL on their idleness — so an unbounded stream
-// of distinct table names can no longer grow the dictionary pools forever.
+// gets cheaper as the service runs. The sessions live in one registry with
+// the catalog's chains, bounded two ways — an LRU cap on their count and a
+// TTL on their idleness — so neither an unbounded stream of distinct table
+// names nor a growing catalog can grow the dictionary pools forever.
 //
 // Every session derives from one Explainer, whose observer feeds the
 // Prometheus-style /metrics endpoint: ingest volume, run modes
@@ -125,6 +125,9 @@ type server struct {
 	// goes through them, so both paths share dedupe and accounting.
 	store *jobs.Store
 	pool  *jobs.Pool
+	// ingest streams /explain uploads into the store's blobs and
+	// re-interns them for replayed jobs.
+	ingest jobs.Ingester
 
 	// catalog is the snapshot-history surface under /tables: registered
 	// tables, pushed snapshot lineage, and the explanation chain computed
@@ -136,9 +139,9 @@ type server struct {
 	// change stops serving results computed under old flags.
 	engineFP string
 
-	mu       sync.Mutex
-	sessions map[string]*sessionEntry
-	evicted  int // sessions dropped by TTL or LRU, for /stats
+	// registry caches the warm sessions of /explain tables (namespace
+	// explainNS) and of catalog chains.
+	registry *registry.Registry
 
 	// traceMu guards the bounded ring of recent run traces behind /traces.
 	// traceNext is the slot the next trace overwrites once the ring is full.
@@ -147,11 +150,8 @@ type server struct {
 	traceNext int
 }
 
-// sessionEntry is one table's session plus the bookkeeping eviction needs.
-type sessionEntry struct {
-	sess    *affidavit.Session
-	lastUse time.Time
-}
+// explainNS is the /explain path's registry namespace.
+const explainNS = "explain"
 
 func newServer(cfg serverConfig) (*server, error) {
 	if cfg.now == nil {
@@ -179,7 +179,7 @@ func newServer(cfg serverConfig) (*server, error) {
 		cfg:       cfg,
 		ex:        ex,
 		metrics:   metrics,
-		sessions:  make(map[string]*sessionEntry),
+		registry:  registry.New(cfg.maxSessions, cfg.sessionTTL, cfg.now),
 		startedAt: cfg.now(),
 	}
 	if cfg.maxInflight > 0 {
@@ -195,6 +195,7 @@ func newServer(cfg serverConfig) (*server, error) {
 		return nil, err
 	}
 	s.store = store
+	s.ingest = jobs.Ingester{Explainer: ex, Blobs: store.Blobs(), MaxRecords: cfg.maxRecords, MaxSnapshotBytes: cfg.maxSnapshotBytes}
 	s.engineFP = ex.Fingerprint()
 	// The catalog must exist before the pool starts: a replayed journal
 	// can hold pending catalog steps, and runJob dispatches those to it.
@@ -206,6 +207,7 @@ func newServer(cfg serverConfig) (*server, error) {
 		Dir:              catDir,
 		Explainer:        ex,
 		Jobs:             store,
+		Sessions:         s.registry,
 		MaxRecords:       cfg.maxRecords,
 		MaxSnapshotBytes: cfg.maxSnapshotBytes,
 		Now:              cfg.now,
@@ -238,78 +240,12 @@ func (s *server) Close() error {
 	return cerr
 }
 
-// session returns the named table's session, creating it on first use and
-// refreshing its last-use stamp. When the LRU cap is hit, the
-// least-recently-used session is dropped to make room (ties break on the
-// smaller table name, for determinism).
+// session returns the /explain session for table, creating it on first
+// use.
 func (s *server) session(table string) *affidavit.Session {
-	now := s.cfg.now()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if e, ok := s.sessions[table]; ok {
-		e.lastUse = now
-		return e.sess
-	}
-	if s.cfg.maxSessions > 0 {
-		for len(s.sessions) >= s.cfg.maxSessions {
-			var victim string
-			for name, e := range s.sessions {
-				if victim == "" ||
-					e.lastUse.Before(s.sessions[victim].lastUse) ||
-					(e.lastUse.Equal(s.sessions[victim].lastUse) && name < victim) {
-					victim = name
-				}
-			}
-			delete(s.sessions, victim)
-			s.evicted++
-		}
-	}
-	e := &sessionEntry{sess: s.ex.Session(nil), lastUse: now}
-	s.sessions[table] = e
-	return e.sess
-}
-
-// evictExpired drops every session idle since before now−TTL and reports
-// how many it removed. No-op when the TTL is unset.
-func (s *server) evictExpired(now time.Time) int {
-	if s.cfg.sessionTTL <= 0 {
-		return 0
-	}
-	cutoff := now.Add(-s.cfg.sessionTTL)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := 0
-	for name, e := range s.sessions {
-		if e.lastUse.Before(cutoff) {
-			delete(s.sessions, name)
-			n++
-		}
-	}
-	s.evicted += n
-	return n
-}
-
-// janitor runs evictExpired periodically until ctx ends. The sweep period
-// is a quarter of the TTL, clamped to [1s, 1m], so an expired session
-// lingers at most ~25% past its deadline.
-func (s *server) janitor(ctx context.Context) {
-	every := s.cfg.sessionTTL / 4
-	if every < time.Second {
-		every = time.Second
-	}
-	if every > time.Minute {
-		every = time.Minute
-	}
-	t := time.NewTicker(every)
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case now := <-t.C:
-			s.evictExpired(now)
-		}
-	}
+	return s.registry.GetOrCreate(registry.Key{Namespace: explainNS, Table: table}, func() registry.Entry {
+		return registry.Entry{Session: s.ex.Session(nil)}
+	}).Session
 }
 
 func (s *server) handler() http.Handler {
@@ -406,9 +342,6 @@ func (s *server) handleTraces(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	id := strings.TrimPrefix(strings.TrimPrefix(r.URL.Path, "/traces"), "/")
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
 	if id == "" {
 		recent := s.recentTraces()
 		index := make([]traceIndexEntry, len(recent))
@@ -424,7 +357,7 @@ func (s *server) handleTraces(w http.ResponseWriter, r *http.Request) {
 				Cancelled:  tr.Cancelled,
 			}
 		}
-		enc.Encode(struct {
+		jobs.WriteJSON(w, http.StatusOK, struct {
 			Traces []traceIndexEntry `json:"traces"`
 		}{index})
 		return
@@ -434,152 +367,7 @@ func (s *server) handleTraces(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("no retained trace %q (ring keeps the last %d)", id, s.cfg.traceBuffer), http.StatusNotFound)
 		return
 	}
-	enc.Encode(tr)
-}
-
-// deadlineResponse is the 503 body: the request ran out of budget, and
-// these are the statistics of the work done before the cut.
-type deadlineResponse struct {
-	Error string              `json:"error"`
-	Table string              `json:"table"`
-	Stats affidavit.JSONStats `json:"stats"`
-}
-
-// limitRecords bounds a streamed snapshot's record count (max ≤ 0 means
-// unlimited) — the daemon's backstop against uploads that would intern
-// until OOM now that file parts have no byte cap.
-func limitRecords(src affidavit.Source, max int) affidavit.Source {
-	if max <= 0 {
-		return src
-	}
-	return &limitedSource{Source: src, left: max}
-}
-
-type limitedSource struct {
-	affidavit.Source
-	left int
-}
-
-// cappedReader errors once more than max bytes flow through it — unlike
-// io.LimitReader, which would silently truncate the snapshot at the cap.
-// max ≤ 0 passes the reader through unbounded.
-func cappedReader(r io.Reader, max int64) io.Reader {
-	if max <= 0 {
-		return r
-	}
-	return &byteCap{r: r, left: max}
-}
-
-type byteCap struct {
-	r    io.Reader
-	left int64
-}
-
-func (c *byteCap) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.left -= int64(n)
-	if c.left < 0 {
-		return n, fmt.Errorf("snapshot exceeds the byte limit (-max-snapshot); genuinely large snapshots can be served by raising it and bounding memory with -mem-budget instead")
-	}
-	return n, err
-}
-
-func (l *limitedSource) Next() (affidavit.Record, error) {
-	rec, err := l.Source.Next()
-	if err != nil {
-		return nil, err
-	}
-	// Reject only when a real record arrives past the cap, so a snapshot
-	// of exactly max records still ends in a clean EOF.
-	if l.left <= 0 {
-		return nil, fmt.Errorf("snapshot exceeds the record limit (-max-records)")
-	}
-	l.left--
-	return rec, nil
-}
-
-// upload is one parsed /explain body: both snapshots interned, their
-// content hashes (the blob addresses dedupe keys on), and the small form
-// values.
-type upload struct {
-	src, tgt         *affidavit.Table
-	srcHash, tgtHash string
-	form             map[string]string
-}
-
-// readUpload streams the multipart body: the "source" and "target" file
-// parts are interned into the columnar backend as they arrive (never
-// buffered as [][]string, and not bounded by -max-upload), while the
-// same bytes are teed into the job blob store — hashed for the content
-// address and, under -jobs-dir, spooled to disk so a crash-requeued job
-// can re-ingest. Other parts are collected as small form values. Parts
-// may arrive in any order.
-func (s *server) readUpload(ctx context.Context, r *http.Request) (*upload, error) {
-	mr, err := r.MultipartReader()
-	if err != nil {
-		return nil, fmt.Errorf("parsing upload: %w", err)
-	}
-	up := &upload{form: make(map[string]string)}
-	for {
-		part, perr := mr.NextPart()
-		if perr == io.EOF {
-			break
-		}
-		if perr != nil {
-			return nil, fmt.Errorf("parsing upload: %w", perr)
-		}
-		name := part.FormName()
-		switch name {
-		case "source", "target":
-			bw := s.store.Blobs().NewWriter()
-			body := io.TeeReader(cappedReader(part, s.cfg.maxSnapshotBytes), bw)
-			csvPart := affidavit.NewCSVSource(body)
-			tab, rerr := s.ex.ReadSourceNamed(ctx, limitRecords(csvPart, s.cfg.maxRecords), name)
-			if rerr == nil {
-				// Hash any bytes the CSV reader buffered past the final
-				// record, so the address is a function of the whole part.
-				_, rerr = io.Copy(io.Discard, body)
-			}
-			part.Close()
-			if rerr != nil {
-				bw.Abort()
-				return nil, fmt.Errorf("reading %q file: %w", name, rerr)
-			}
-			hash, cerr := bw.Commit()
-			if cerr != nil {
-				return nil, fmt.Errorf("storing %q upload: %w", name, cerr)
-			}
-			if name == "source" {
-				up.src, up.srcHash = tab, hash
-			} else {
-				up.tgt, up.tgtHash = tab, hash
-			}
-		default:
-			// Bound both each field's size and the field count, so a body
-			// of endless small parts cannot grow the form map without
-			// limit.
-			if len(up.form) >= maxFormFields {
-				return nil, fmt.Errorf("too many form fields (limit %d)", maxFormFields)
-			}
-			limit := s.cfg.maxUpload
-			b, rerr := io.ReadAll(io.LimitReader(part, limit+1))
-			part.Close()
-			if rerr != nil {
-				return nil, fmt.Errorf("reading field %q: %w", name, rerr)
-			}
-			if int64(len(b)) > limit {
-				return nil, fmt.Errorf("field %q exceeds %d bytes", name, limit)
-			}
-			up.form[name] = string(b)
-		}
-	}
-	if up.src == nil {
-		return nil, fmt.Errorf("missing %q file", "source")
-	}
-	if up.tgt == nil {
-		return nil, fmt.Errorf("missing %q file", "target")
-	}
-	return up, nil
+	jobs.WriteJSON(w, http.StatusOK, tr)
 }
 
 // handleExplain serves POST /explain: a multipart upload with CSV files
@@ -625,7 +413,7 @@ func (s *server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	// One trace recorder rides the whole submission: the streamed upload
-	// ingest (readUpload, below) and the job's search (runJob attaches
+	// ingest (ReadUpload, below) and the job's search (runJob attaches
 	// the same recorder to the worker context) feed one per-run trace.
 	var trec *affidavit.TraceRecorder
 	ictx := ctx
@@ -633,7 +421,7 @@ func (s *server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		trec = affidavit.NewTraceRecorder()
 		ictx = affidavit.ContextWithObserver(ctx, trec)
 	}
-	up, err := s.readUpload(ictx, r)
+	up, err := s.ingest.ReadUpload(ictx, r, s.cfg.maxUpload, "source", "target")
 	if err != nil {
 		if ctx.Err() != nil {
 			http.Error(w, "request expired during upload ingest", http.StatusServiceUnavailable)
@@ -642,14 +430,9 @@ func (s *server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	// Query values win over form parts, so ?table=x works regardless of
-	// part order.
-	value := func(k string) string {
-		if v := r.URL.Query().Get(k); v != "" {
-			return v
-		}
-		return up.form[k]
-	}
+	value := func(k string) string { return up.Value(r, k) }
+	src, tgt := up.Tables["source"], up.Tables["target"]
+	srcHash, tgtHash := up.Blobs["source"], up.Blobs["target"]
 	table := value("table")
 	if table == "" {
 		table = "table"
@@ -668,9 +451,9 @@ func (s *server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		Table:      table,
 		Format:     format,
 		Warm:       warm,
-		SourceBlob: up.srcHash,
-		TargetBlob: up.tgtHash,
-		Payload:    &jobPayload{src: up.src, tgt: up.tgt, trace: trec},
+		SourceBlob: srcHash,
+		TargetBlob: tgtHash,
+		Payload:    &jobPayload{src: src, tgt: tgt, trace: trec},
 	}
 	if !warm {
 		// The content address: canonicalized upload hashes plus every
@@ -678,7 +461,7 @@ func (s *server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		// fingerprint, so restarting with different flags stops serving
 		// results computed under the old configuration. Warm jobs depend on
 		// session history too, so they never dedupe (empty address).
-		spec.Addr = jobs.Address("explain/v2", s.engineFP, table, format, up.srcHash, up.tgtHash)
+		spec.Addr = jobs.Address("explain/v2", s.engineFP, table, format, srcHash, tgtHash)
 	}
 	job, _, err := s.store.Submit(spec)
 	if err != nil {
@@ -720,10 +503,10 @@ type statsResponse struct {
 	SessionsEvicted int                   `json:"sessions_evicted"`
 	// Jobs mirrors /metrics' affidavit_jobs_* series: queue depth,
 	// running, and the lifetime submission/dedupe/outcome counters.
-	Jobs jobsStats `json:"jobs"`
+	Jobs jobs.Metrics `json:"jobs"`
 	// Catalog mirrors /metrics' affidavit_catalog_* series: registered
 	// tables, stored snapshots, and chain steps by status.
-	Catalog catalogStats `json:"catalog"`
+	Catalog catalog.Metrics `json:"catalog"`
 	// Out-of-core totals under -mem-budget (mirrors /metrics'
 	// affidavit_spill_bytes_total / affidavit_spill_partitions_total).
 	SpillBytes      int64 `json:"spill_bytes_total"`
@@ -731,43 +514,55 @@ type statsResponse struct {
 }
 
 // handleStats serves GET /stats: process identity (start time, uptime, Go
-// version) plus per-table session counters and the lifetime eviction
-// count.
+// version) plus per-table /explain session counters and the lifetime
+// eviction count (catalog chains included).
 func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 	now := s.cfg.now()
 	s.traceMu.Lock()
 	retained := len(s.traces)
 	s.traceMu.Unlock()
-	s.mu.Lock()
-	names := make([]string, 0, len(s.sessions))
-	for name := range s.sessions {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	out := make(map[string]tableStats, len(names))
-	for _, name := range names {
-		sess := s.sessions[name].sess
+	out := make(map[string]tableStats)
+	for name, sess := range s.registry.Sessions(explainNS) {
 		attrs, values := sess.PoolStats()
 		out[name] = tableStats{Runs: sess.Runs(), PoolAttrs: attrs, PoolValues: values}
 	}
-	evicted := s.evicted
-	s.mu.Unlock()
 	spillBytes, spillParts := s.metrics.SpillTotals()
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(statsResponse{
+	jobs.WriteJSON(w, http.StatusOK, statsResponse{
 		StartedAt:       s.startedAt,
 		UptimeSeconds:   now.Sub(s.startedAt).Seconds(),
 		GoVersion:       runtime.Version(),
 		TracesRetained:  retained,
 		Tables:          out,
-		SessionsEvicted: evicted,
-		Jobs:            s.jobsStats(),
-		Catalog:         s.catalogStats(),
+		SessionsEvicted: s.registry.Evicted(),
+		Jobs:            s.store.Metrics(),
+		Catalog:         s.catalog.Metrics(),
 		SpillBytes:      spillBytes,
 		SpillPartitions: spillParts,
-	}); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-	}
+	})
+}
+
+// handleMetrics serves GET /metrics: the observer-fed pipeline counters
+// followed by the job-subsystem and catalog gauges and counters, in fixed
+// order.
+func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	s.metrics.ServeHTTP(w, r)
+	m := s.store.Metrics()
+	c := s.catalog.Metrics()
+	prom.Write(w,
+		prom.Int("affidavit_jobs_queued", "gauge", "Jobs waiting in the queue.", int64(m.Queued)),
+		prom.Int("affidavit_jobs_running", "gauge", "Jobs currently executing.", int64(m.Running)),
+		prom.Int("affidavit_jobs_submitted_total", "counter", "Job submissions that queued a computation.", m.Submitted),
+		prom.Int("affidavit_jobs_dedupe_hits_total", "counter", "Submissions served by joining an existing job.", m.DedupeHits),
+		prom.Int("affidavit_jobs_completed_total", "counter", "Jobs that completed with a stored result.", m.Completed),
+		prom.Int("affidavit_jobs_failed_total", "counter", "Jobs that ended in a terminal error.", m.Failed),
+		prom.Int("affidavit_jobs_cancelled_total", "counter", "Jobs cancelled via DELETE /jobs/{id}.", m.Cancelled),
+		prom.Int("affidavit_jobs_retried_total", "counter", "Transient failures scheduled for another attempt.", m.Retried),
+		prom.Int("affidavit_jobs_requeued_total", "counter", "Runs returned to the queue by crash recovery or shutdown.", m.Requeued),
+		prom.Int("affidavit_catalog_tables", "gauge", "Registered catalog tables.", int64(c.Tables)),
+		prom.Int("affidavit_catalog_snapshots", "gauge", "Snapshots stored across all catalog tables.", int64(c.Snapshots)),
+		prom.Int("affidavit_catalog_steps_pending", "gauge", "Chain steps queued or running.", int64(c.StepsPending)),
+		prom.Int("affidavit_catalog_steps_explained", "gauge", "Chain steps with a stored explanation.", int64(c.StepsExplained)),
+		prom.Int("affidavit_catalog_steps_failed", "gauge", "Chain steps that refused or failed to explain.", int64(c.StepsFailed)),
+		prom.Int("affidavit_catalog_schema_resets_total", "counter", "Chain re-seeds caused by mid-chain schema changes.", c.SchemaResets),
+	)
 }

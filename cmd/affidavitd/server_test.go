@@ -16,6 +16,7 @@ import (
 	"affidavit"
 	"affidavit/internal/datasets"
 	"affidavit/internal/gen"
+	"affidavit/internal/jobs"
 	"affidavit/internal/table"
 )
 
@@ -307,7 +308,7 @@ func TestExplainDeadline503(t *testing.T) {
 	if code != http.StatusServiceUnavailable {
 		t.Fatalf("status %d, want 503: %s", code, body)
 	}
-	var resp deadlineResponse
+	var resp jobs.DeadlineResponse
 	if err := json.Unmarshal(body, &resp); err != nil {
 		t.Fatalf("bad 503 JSON: %v: %s", err, body)
 	}
@@ -342,22 +343,21 @@ func TestSessionTTLEviction(t *testing.T) {
 	s.session("a")
 	s.session("b")
 	s.session("a") // refresh a
-	if n := s.evictExpired(clk.now().Add(30 * time.Second)); n != 0 {
+	if n := s.registry.EvictExpired(clk.now().Add(30 * time.Second)); n != 0 {
 		t.Fatalf("evicted %d sessions before the TTL", n)
 	}
 	// Age everything past the TTL, then refresh only "a".
 	s.session("a")
-	if n := s.evictExpired(clk.now().Add(59 * time.Second)); n != 1 {
+	if n := s.registry.EvictExpired(clk.now().Add(59 * time.Second)); n != 1 {
 		t.Fatalf("evicted %d sessions, want 1 (only the idle one)", n)
 	}
-	s.mu.Lock()
-	_, aAlive := s.sessions["a"]
-	_, bAlive := s.sessions["b"]
-	s.mu.Unlock()
+	live := s.registry.Sessions(explainNS)
+	_, aAlive := live["a"]
+	_, bAlive := live["b"]
 	if !aAlive || bAlive {
 		t.Fatalf("a alive=%v b alive=%v, want a kept and b evicted", aAlive, bAlive)
 	}
-	if n := s.evictExpired(clk.now().Add(2 * time.Minute)); n != 1 {
+	if n := s.registry.EvictExpired(clk.now().Add(2 * time.Minute)); n != 1 {
 		t.Fatalf("evicted %d sessions, want the last one", n)
 	}
 }
@@ -375,21 +375,18 @@ func TestSessionLRUCap(t *testing.T) {
 	s.session("b")
 	s.session("a") // a is now more recently used than b
 	s.session("c") // must evict b
-	s.mu.Lock()
-	_, aAlive := s.sessions["a"]
-	_, bAlive := s.sessions["b"]
-	_, cAlive := s.sessions["c"]
-	n, evicted := len(s.sessions), s.evicted
-	s.mu.Unlock()
+	live := s.registry.Sessions(explainNS)
+	_, aAlive := live["a"]
+	_, bAlive := live["b"]
+	_, cAlive := live["c"]
+	n, evicted := len(live), s.registry.Evicted()
 	if !aAlive || bAlive || !cAlive || n != 2 || evicted != 1 {
 		t.Fatalf("a=%v b=%v c=%v len=%d evicted=%d, want a,c kept with b evicted",
 			aAlive, bAlive, cAlive, n, evicted)
 	}
 	// An evicted table simply gets a fresh session on its next upload.
 	s.session("b")
-	s.mu.Lock()
-	n = len(s.sessions)
-	s.mu.Unlock()
+	n = len(s.registry.Sessions(explainNS))
 	if n != 2 {
 		t.Fatalf("len=%d after re-creating b, want cap 2", n)
 	}

@@ -26,6 +26,7 @@ import (
 	"affidavit"
 	"affidavit/internal/catalog"
 	"affidavit/internal/jobs"
+	"affidavit/internal/registry"
 )
 
 // Three nightly versions of an orders table. Every night the ETL shifts
@@ -62,8 +63,9 @@ ord-008,1500,open
 
 func main() {
 	// The same assembly affidavitd performs at startup: one Explainer (the
-	// seed pins the chain's determinism), an in-memory job store, the
-	// catalog service over both, and a worker pool whose runner dispatches
+	// seed pins the chain's determinism), an in-memory job store, an
+	// unbounded session registry, the catalog service over them, and a
+	// worker pool whose runner dispatches
 	// catalog jobs back into the service.
 	ex, err := affidavit.New(affidavit.WithSeed(1))
 	if err != nil {
@@ -73,7 +75,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	svc, err := catalog.NewService(catalog.Config{Explainer: ex, Jobs: store})
+	svc, err := catalog.NewService(catalog.Config{Explainer: ex, Jobs: store, Sessions: registry.New(0, 0, nil)})
 	if err != nil {
 		log.Fatal(err)
 	}

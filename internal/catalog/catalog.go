@@ -4,9 +4,9 @@
 // into a monitoring surface — push successive snapshots of a table and
 // the catalog keeps the full drift history, not just the latest diff.
 //
-// Durability reuses the job subsystem's idioms: an append-only JSONL
-// journal (one fixed-struct record per line, fsynced per append,
-// torn-tail tolerant on replay) holds three record kinds — table
+// Durability is the journal the job store also runs on (internal/journal): an
+// append-only JSONL log (one fixed-struct record per line, fsynced per
+// append, torn-tail tolerant on replay) holds three record kinds — table
 // registrations, snapshot lineage (snapshot id, parent id, blob content
 // address, operation tag, push timestamp, schema), and explanation steps
 // (job id, status, per-step summary). Replay is last-line-per-key-wins,
@@ -29,6 +29,7 @@ import (
 	"time"
 
 	"affidavit/internal/jobs"
+	"affidavit/internal/journal"
 )
 
 // Record kinds: one journal line shape shared by the three catalog facts.
@@ -138,14 +139,18 @@ type Record struct {
 	Summary *StepSummary `json:"summary,omitempty"`
 }
 
-// key is the replay identity: the journal's last line per key wins.
-func (r *Record) key() string {
+// JournalKey is the replay identity: the journal's last line per key
+// wins.
+func (r Record) JournalKey() string {
 	return r.Kind + "/" + r.Table + "/" + r.SnapshotID
 }
 
-// validate rejects records a hostile or torn journal could hold but a
+// JournalSeq orders replayed records by append.
+func (r Record) JournalSeq() uint64 { return r.Seq }
+
+// Validate rejects records a hostile or torn journal could hold but a
 // live store never writes.
-func (r *Record) validate() error {
+func (r Record) Validate() error {
 	if r.Table == "" {
 		return fmt.Errorf("catalog: journal record without table")
 	}
@@ -193,16 +198,15 @@ type tableState struct {
 // Store is the journal-backed catalog state. All methods are safe for
 // concurrent use.
 type Store struct {
-	mu     sync.Mutex
-	jrnl   *journal // nil in memory mode
+	mu sync.Mutex
+	// jrnl is nil in memory mode. Its write failures latch: like the job
+	// store, the catalog keeps serving from memory (availability over
+	// durability) and Close surfaces the error.
+	jrnl   *journal.Journal[Record]
 	now    func() time.Time
 	tables map[string]*tableState
 	order  []string // registration order — the deterministic listing order
 	seq    uint64
-	// journalErr latches the first journal write failure: like the job
-	// store, the catalog keeps serving from memory (availability over
-	// durability) and Close surfaces the error.
-	journalErr error
 }
 
 // OpenStore opens (or creates) the catalog store rooted at dir. An empty
@@ -220,7 +224,7 @@ func OpenStore(dir string, now func() time.Time) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("catalog: store dir: %w", err)
 	}
-	jrnl, recs, err := openCatalogJournal(filepath.Join(dir, "catalog.jsonl"))
+	jrnl, recs, err := journal.Open[Record](filepath.Join(dir, "catalog.jsonl"), "catalog")
 	if err != nil {
 		return nil, err
 	}
@@ -258,17 +262,6 @@ func (s *Store) applyLocked(rec Record) {
 	}
 }
 
-// appendLocked journals rec, latching the first failure like the job
-// store does — catalog writes never fail a push that already ingested.
-func (s *Store) appendLocked(rec Record) {
-	if s.jrnl == nil {
-		return
-	}
-	if err := s.jrnl.append(rec); err != nil && s.journalErr == nil {
-		s.journalErr = err
-	}
-}
-
 // Sentinel errors for the service layer to map onto HTTP statuses.
 var (
 	// ErrNoTable reports an unregistered table name.
@@ -293,7 +286,7 @@ func (s *Store) Register(name string) (Record, error) {
 	rec := Record{Kind: KindTable, Seq: s.seq, Table: name, Time: s.now().UTC()}
 	s.seq++
 	s.applyLocked(rec)
-	s.appendLocked(rec)
+	s.jrnl.Append(rec)
 	return rec, nil
 }
 
@@ -367,7 +360,7 @@ func (s *Store) AddSnapshot(table, blob, op string, records int, schema []string
 	}
 	s.seq++
 	s.applyLocked(snap)
-	s.appendLocked(snap)
+	s.jrnl.Append(snap)
 	return snap, parent, hasParent, nil
 }
 
@@ -391,7 +384,7 @@ func (s *Store) StartStep(table, snapshotID, parentID, jobID string) (Record, er
 	}
 	s.seq++
 	s.applyLocked(rec)
-	s.appendLocked(rec)
+	s.jrnl.Append(rec)
 	return rec, nil
 }
 
@@ -416,7 +409,7 @@ func (s *Store) FinishStep(table, snapshotID string, status StepStatus, errMsg s
 	rec.Error = errMsg
 	rec.Summary = summary
 	ts.steps[snapshotID] = rec
-	s.appendLocked(rec)
+	s.jrnl.Append(rec)
 	return nil
 }
 
@@ -442,14 +435,20 @@ func (s *Store) History(table string) (reg Record, snaps []Record, steps []Recor
 // Metrics is a point-in-time snapshot of the catalog's gauges.
 type Metrics struct {
 	// Tables and Snapshots are current totals across the whole catalog.
-	Tables, Snapshots int
+	Tables    int `json:"tables"`
+	Snapshots int `json:"snapshots"`
 	// StepsPending, StepsExplained and StepsFailed count steps by their
 	// catalog status (pending includes steps whose job already landed a
 	// terminal state the catalog did not record, e.g. cancellations).
-	StepsPending, StepsExplained, StepsFailed int
+	StepsPending   int `json:"steps_pending"`
+	StepsExplained int `json:"steps_explained"`
+	StepsFailed    int `json:"steps_failed"`
+	// SchemaResets counts chain re-seeds caused by mid-chain schema
+	// changes; only Service.Metrics fills it in.
+	SchemaResets int64 `json:"schema_resets"`
 	// JournalError is the latched first journal write failure ("" while
 	// durable or in-memory).
-	JournalError string
+	JournalError string `json:"journal_error,omitempty"`
 }
 
 // Metrics returns the current snapshot.
@@ -457,8 +456,8 @@ func (s *Store) Metrics() Metrics {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	m := Metrics{Tables: len(s.order)}
-	if s.journalErr != nil {
-		m.JournalError = s.journalErr.Error()
+	if err := s.jrnl.Err(); err != nil {
+		m.JournalError = err.Error()
 	}
 	for _, name := range s.order {
 		ts := s.tables[name]
@@ -485,11 +484,5 @@ func (s *Store) Metrics() Metrics {
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.jrnl != nil {
-		if err := s.jrnl.close(); err != nil && s.journalErr == nil {
-			s.journalErr = err
-		}
-		s.jrnl = nil
-	}
-	return s.journalErr
+	return s.jrnl.Close()
 }

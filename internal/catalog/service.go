@@ -7,12 +7,15 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"os"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"affidavit"
 	"affidavit/internal/jobs"
+	"affidavit/internal/registry"
 )
 
 // JobKind marks a job record as a catalog chain step; the daemon's runner
@@ -21,9 +24,6 @@ const JobKind = "catalog"
 
 // maxFieldBytes caps each non-file multipart value (op tag, async flag).
 const maxFieldBytes = 1 << 20
-
-// maxFormFields bounds how many non-file parts one push may carry.
-const maxFormFields = 64
 
 // Config bundles the service dependencies. Explainer and Jobs are shared
 // with the daemon's /explain path, so catalog steps ride the same worker
@@ -39,54 +39,69 @@ type Config struct {
 	// Jobs is the queue catalog steps are submitted to and the blob store
 	// pushed snapshots are teed into.
 	Jobs *jobs.Store
-	// MaxRecords caps each pushed snapshot's record count (≤ 0 =
-	// unlimited).
-	MaxRecords int
-	// MaxSnapshotBytes caps each pushed snapshot's raw byte volume (≤ 0 =
-	// unlimited).
+	// Sessions caches each chain's warm session under the "catalog"
+	// namespace, bounded by the registry's cap and TTL; an evicted chain
+	// re-seeds from its head snapshot's blob on the next step (a job
+	// store without a directory keeps no blob bytes, so there the step
+	// fails and the chain continues from the pushed snapshot).
+	Sessions *registry.Registry
+	// MaxRecords and MaxSnapshotBytes cap each pushed snapshot's record
+	// count and raw byte volume (≤ 0 = unlimited).
+	MaxRecords       int
 	MaxSnapshotBytes int64
 	// Now is the clock for journaled timestamps; nil means time.Now.
 	Now func() time.Time
-}
-
-// chainState is one registered table's live warm-chain state: the session
-// whose internal head is the snapshot headID, plus the head's interned
-// table so a broken chain (failed step, cancelled run) can re-seed
-// without a blob round-trip.
-type chainState struct {
-	sess      *affidavit.Session
-	headID    string
-	headTable *affidavit.Table
 }
 
 // Service is the catalog's HTTP surface and step runner. One instance
 // serves /tables and executes every catalog job the daemon's pool
 // dispatches back to it.
 type Service struct {
-	cfg   Config
-	store *Store
+	cfg    Config
+	store  *Store
+	ingest jobs.Ingester
 
 	// pushMu serializes the lineage append + job submission of concurrent
 	// pushes, so each snapshot's parent is exactly the previous push.
 	// Ingest streams outside it.
 	pushMu sync.Mutex
 
-	mu           sync.Mutex
-	chains       map[string]*chainState
-	schemaResets int64
+	schemaResets atomic.Int64
 }
+
+// chainNS is the catalog's session registry namespace.
+const chainNS = "catalog"
 
 // NewService opens the catalog store under cfg.Dir and returns the
 // service.
 func NewService(cfg Config) (*Service, error) {
-	if cfg.Explainer == nil || cfg.Jobs == nil {
-		return nil, fmt.Errorf("catalog: Config needs an Explainer and a job Store")
+	if cfg.Explainer == nil || cfg.Jobs == nil || cfg.Sessions == nil {
+		return nil, fmt.Errorf("catalog: Config needs an Explainer, a job Store and a session Registry")
 	}
 	store, err := OpenStore(cfg.Dir, cfg.Now)
 	if err != nil {
 		return nil, err
 	}
-	return &Service{cfg: cfg, store: store, chains: make(map[string]*chainState)}, nil
+	// A crash between journaling a step and queueing its job leaves a
+	// pending step that no job will ever finish: fail it, so neither the
+	// timeline nor the pending gauge waits for it forever.
+	for _, reg := range store.Tables() {
+		_, _, steps, _ := store.History(reg.Table)
+		for _, step := range steps {
+			if step.Status != StepPending {
+				continue
+			}
+			if _, queued := cfg.Jobs.Get(step.JobID); !queued {
+				store.FinishStep(reg.Table, step.SnapshotID, StepFailed, "the daemon stopped before the step was queued", nil)
+			}
+		}
+	}
+	return &Service{cfg: cfg, store: store, ingest: jobs.Ingester{
+		Explainer:        cfg.Explainer,
+		Blobs:            cfg.Jobs.Blobs(),
+		MaxRecords:       cfg.MaxRecords,
+		MaxSnapshotBytes: cfg.MaxSnapshotBytes,
+	}}, nil
 }
 
 // Store exposes the underlying catalog store (metrics, tests).
@@ -96,11 +111,12 @@ func (s *Service) Store() *Store { return s.store }
 // step finishes after the journal is gone.
 func (s *Service) Close() error { return s.store.Close() }
 
-// SchemaResets counts chain re-seeds caused by mid-chain schema changes.
-func (s *Service) SchemaResets() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.schemaResets
+// Metrics is the store's snapshot plus the chain re-seeds caused by
+// mid-chain schema changes.
+func (s *Service) Metrics() Metrics {
+	m := s.store.Metrics()
+	m.SchemaResets = s.schemaResets.Load()
+	return m
 }
 
 // Routes lists the catalog's route patterns for documentation tooling
@@ -243,15 +259,6 @@ func (s *Service) viewStep(rec Record) stepView {
 	return v
 }
 
-// writeJSON encodes v as indented JSON, matching the daemon's encoding.
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
-}
-
 // handleTables serves POST /tables (register) and GET /tables (list).
 func (s *Service) handleTables(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
@@ -267,7 +274,7 @@ func (s *Service) handleTables(w http.ResponseWriter, r *http.Request) {
 			v.Snapshots = len(snaps)
 			views[i] = v
 		}
-		writeJSON(w, http.StatusOK, struct {
+		jobs.WriteJSON(w, http.StatusOK, struct {
 			Tables []tableView `json:"tables"`
 		}{views})
 	case http.MethodPost:
@@ -285,7 +292,7 @@ func (s *Service) handleTables(w http.ResponseWriter, r *http.Request) {
 		case err != nil:
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		default:
-			writeJSON(w, http.StatusCreated, tableView{Name: rec.Table, RegisteredAt: rec.Time})
+			jobs.WriteJSON(w, http.StatusCreated, tableView{Name: rec.Table, RegisteredAt: rec.Time})
 		}
 	default:
 		http.Error(w, "GET or POST", http.StatusMethodNotAllowed)
@@ -337,7 +344,7 @@ func (s *Service) handleTable(w http.ResponseWriter, r *http.Request, name strin
 	for i, snap := range snaps {
 		views[i] = viewSnapshot(snap)
 	}
-	writeJSON(w, http.StatusOK, struct {
+	jobs.WriteJSON(w, http.StatusOK, struct {
 		Name         string         `json:"name"`
 		RegisteredAt time.Time      `json:"registered_at"`
 		Head         string         `json:"head,omitempty"`
@@ -375,7 +382,7 @@ func (s *Service) handleHistory(w http.ResponseWriter, r *http.Request, name str
 	for i, step := range steps {
 		resp.Steps[i] = s.viewStep(step)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	jobs.WriteJSON(w, http.StatusOK, resp)
 }
 
 // handleTrends serves GET /tables/{name}/trends.
@@ -389,7 +396,7 @@ func (s *Service) handleTrends(w http.ResponseWriter, r *http.Request, name stri
 		http.Error(w, "no table "+name, http.StatusNotFound)
 		return
 	}
-	writeJSON(w, http.StatusOK, s.computeTrends(reg, snaps, steps))
+	jobs.WriteJSON(w, http.StatusOK, s.computeTrends(reg, snaps, steps))
 }
 
 // StepPayload is the non-durable state a live push hands RunStep: the
@@ -416,7 +423,7 @@ func (s *Service) handlePush(w http.ResponseWriter, r *http.Request, name string
 		return
 	}
 	ctx := r.Context()
-	tab, hash, form, err := s.readPush(ctx, r)
+	up, err := s.ingest.ReadUpload(ctx, r, maxFieldBytes, "snapshot")
 	if err != nil {
 		if ctx.Err() != nil {
 			http.Error(w, "request expired during snapshot ingest", http.StatusServiceUnavailable)
@@ -425,12 +432,8 @@ func (s *Service) handlePush(w http.ResponseWriter, r *http.Request, name string
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	value := func(k string) string {
-		if v := r.URL.Query().Get(k); v != "" {
-			return v
-		}
-		return form[k]
-	}
+	tab, hash := up.Tables["snapshot"], up.Blobs["snapshot"]
+	value := func(k string) string { return up.Value(r, k) }
 	// Serialize lineage append + job submission so each snapshot's parent
 	// is exactly the previous push; ingest above streams concurrently.
 	s.pushMu.Lock()
@@ -443,17 +446,24 @@ func (s *Service) handlePush(w http.ResponseWriter, r *http.Request, name string
 	if !hasParent {
 		// Chain baseline: seed the warm session now, so the next push's
 		// step starts warm without a blob round-trip.
-		s.mu.Lock()
-		s.chains[name] = &chainState{sess: s.cfg.Explainer.Session(tab), headID: snap.SnapshotID, headTable: tab}
-		s.mu.Unlock()
+		s.setChain(name, s.cfg.Explainer.Session(tab), snap.SnapshotID)
 		s.pushMu.Unlock()
 		w.Header().Set("X-Affidavit-Snapshot-Id", snap.SnapshotID)
-		writeJSON(w, http.StatusCreated, struct {
+		jobs.WriteJSON(w, http.StatusCreated, struct {
 			Snapshot snapshotView `json:"snapshot"`
 		}{viewSnapshot(snap)})
 		return
 	}
+	// Journal the complete pending step before its job exists: a fast
+	// worker can finish the step the moment it is submitted.
+	step, err := s.store.StartStep(name, snap.SnapshotID, snap.ParentID, stepJobID(snap))
+	if err != nil {
+		s.pushMu.Unlock()
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
 	job, _, err := s.cfg.Jobs.Submit(jobs.Spec{
+		ID:         step.JobID,
 		Kind:       JobKind,
 		Table:      name,
 		Format:     "json",
@@ -464,20 +474,20 @@ func (s *Service) handlePush(w http.ResponseWriter, r *http.Request, name string
 		Payload:    &StepPayload{Next: tab},
 	})
 	if err != nil {
+		s.store.FinishStep(name, snap.SnapshotID, StepFailed, "the step was not queued: "+err.Error(), nil)
 		s.pushMu.Unlock()
-		http.Error(w, "shutting down", http.StatusServiceUnavailable)
-		return
-	}
-	if _, err := s.store.StartStep(name, snap.SnapshotID, snap.ParentID, job.ID()); err != nil {
-		s.pushMu.Unlock()
-		http.Error(w, err.Error(), http.StatusInternalServerError)
+		if errors.Is(err, jobs.ErrClosed) {
+			http.Error(w, "shutting down", http.StatusServiceUnavailable)
+		} else {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+		}
 		return
 	}
 	s.pushMu.Unlock()
 	w.Header().Set("X-Affidavit-Snapshot-Id", snap.SnapshotID)
 	w.Header().Set("X-Affidavit-Job-Id", job.ID())
 	if value("async") == "1" {
-		writeJSON(w, http.StatusAccepted, struct {
+		jobs.WriteJSON(w, http.StatusAccepted, struct {
 			Snapshot snapshotView `json:"snapshot"`
 			JobID    string       `json:"job_id"`
 			Status   string       `json:"status"`
@@ -494,106 +504,23 @@ func (s *Service) handlePush(w http.ResponseWriter, r *http.Request, name string
 		http.Error(w, "shutting down", http.StatusServiceUnavailable)
 		return
 	}
-	s.writeStepOutcome(w, rec)
-}
-
-// writeStepOutcome renders a terminal step job as the sync push response:
-// the stored explanation bytes, a 503 + partial stats on deadline, or the
-// error text (422 for explain refusals such as schema changes).
-func (s *Service) writeStepOutcome(w http.ResponseWriter, rec jobs.Record) {
-	if rec.TraceID != "" {
-		w.Header().Set("X-Affidavit-Trace-Id", rec.TraceID)
-	}
-	switch rec.State {
-	case jobs.StateCompleted:
-		body, rec2, err := s.cfg.Jobs.Result(rec.ID)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
+	if rec.State == jobs.StateCancelled {
+		// As jobs.WriteOutcome answers, but naming the job a step job.
+		if rec.TraceID != "" {
+			w.Header().Set("X-Affidavit-Trace-Id", rec.TraceID)
 		}
-		w.Header().Set("Content-Type", rec2.ContentType)
-		w.Write(body)
-	case jobs.StateError:
-		if rec.Deadline {
-			var st affidavit.JSONStats
-			if len(rec.Stats) > 0 {
-				json.Unmarshal(rec.Stats, &st)
-			}
-			st.Cancelled = false
-			writeJSON(w, http.StatusServiceUnavailable, struct {
-				Error string              `json:"error"`
-				Table string              `json:"table"`
-				Stats affidavit.JSONStats `json:"stats"`
-			}{rec.Error, rec.Table, st})
-			return
-		}
-		http.Error(w, rec.Error, http.StatusUnprocessableEntity)
-	case jobs.StateCancelled:
 		http.Error(w, "step job "+rec.ID+" was cancelled", http.StatusConflict)
-	default:
-		http.Error(w, "step job "+rec.ID+" is "+string(rec.State), http.StatusInternalServerError)
+		return
 	}
+	jobs.WriteOutcome(w, s.cfg.Jobs, rec)
 }
 
-// readPush streams the multipart push body: the "snapshot" file part is
-// interned into the columnar backend while teeing into the blob store;
-// other parts are collected as small form values.
-func (s *Service) readPush(ctx context.Context, r *http.Request) (*affidavit.Table, string, map[string]string, error) {
-	mr, err := r.MultipartReader()
-	if err != nil {
-		return nil, "", nil, fmt.Errorf("parsing push: %w", err)
-	}
-	form := make(map[string]string)
-	var tab *affidavit.Table
-	var hash string
-	for {
-		part, perr := mr.NextPart()
-		if perr == io.EOF {
-			break
-		}
-		if perr != nil {
-			return nil, "", nil, fmt.Errorf("parsing push: %w", perr)
-		}
-		name := part.FormName()
-		if name == "snapshot" {
-			bw := s.cfg.Jobs.Blobs().NewWriter()
-			body := io.TeeReader(capBytes(part, s.cfg.MaxSnapshotBytes), bw)
-			csvPart := affidavit.NewCSVSource(body)
-			t, rerr := s.cfg.Explainer.ReadSourceNamed(ctx, capRecords(csvPart, s.cfg.MaxRecords), "snapshot")
-			if rerr == nil {
-				// Hash any bytes the CSV reader buffered past the final
-				// record, so the address covers the whole part.
-				_, rerr = io.Copy(io.Discard, body)
-			}
-			part.Close()
-			if rerr != nil {
-				bw.Abort()
-				return nil, "", nil, fmt.Errorf("reading snapshot: %w", rerr)
-			}
-			h, cerr := bw.Commit()
-			if cerr != nil {
-				return nil, "", nil, fmt.Errorf("storing snapshot: %w", cerr)
-			}
-			tab, hash = t, h
-			continue
-		}
-		if len(form) >= maxFormFields {
-			return nil, "", nil, fmt.Errorf("too many form fields (limit %d)", maxFormFields)
-		}
-		b, rerr := io.ReadAll(io.LimitReader(part, maxFieldBytes+1))
-		part.Close()
-		if rerr != nil {
-			return nil, "", nil, fmt.Errorf("reading field %q: %w", name, rerr)
-		}
-		if len(b) > maxFieldBytes {
-			return nil, "", nil, fmt.Errorf("field %q exceeds %d bytes", name, maxFieldBytes)
-		}
-		form[name] = string(b)
-	}
-	if tab == nil {
-		return nil, "", nil, fmt.Errorf(`missing "snapshot" file part`)
-	}
-	return tab, hash, form, nil
+// stepJobID names a snapshot's step job before it is submitted, so the
+// pending step is journaled complete. The snapshot id alone could repeat
+// when a fresh catalog replays the same pushes over a kept job store; the
+// push time sets the two apart.
+func stepJobID(snap Record) string {
+	return jobs.Address("catalog/step", snap.SnapshotID, snap.Time.Format(time.RFC3339Nano))[:snapshotIDLen]
 }
 
 // RunStep executes one catalog chain step: explain parent→snapshot on the
@@ -617,7 +544,7 @@ func (s *Service) RunStep(ctx context.Context, rec jobs.Record, payload any) (*j
 		// Journal-replayed (or crash-requeued) step: re-intern the pushed
 		// snapshot from the blob store.
 		var err error
-		if next, err = s.ingestBlob(ctx, rec.TargetBlob); err != nil {
+		if next, err = s.ingest.Ingest(ctx, rec.TargetBlob, "snapshot"); err != nil {
 			return nil, err
 		}
 	}
@@ -639,10 +566,21 @@ func (s *Service) RunStep(ctx context.Context, rec jobs.Record, payload any) (*j
 		s.store.FinishStep(rec.Table, snap.SnapshotID, StepFailed, msg, nil)
 		return nil, errors.New(msg)
 	}
-	sess := s.sessionFor(ctx, rec, parent)
-	if sess == nil {
-		// Only reachable when the parent blob could not be re-ingested.
-		return nil, jobs.Transient(fmt.Errorf("catalog: parent snapshot %s not reconstructable yet", rec.ParentID))
+	sess, err := s.sessionFor(ctx, rec, parent)
+	if errors.Is(err, os.ErrNotExist) {
+		// The chain's session was evicted (or the daemon restarted) and
+		// the parent's bytes are gone for good — a job store without a
+		// directory keeps none. Fail the step and continue the chain from
+		// the pushed snapshot, like any failed step.
+		msg := fmt.Sprintf(
+			"parent snapshot %s is no longer stored (its warm chain session was evicted, and blobs are kept only with -jobs-dir): explanation skipped; the chain continues from snapshot %s",
+			parent.SnapshotID, snap.SnapshotID)
+		s.resetChain(rec.Table, snap.SnapshotID, next, false)
+		s.store.FinishStep(rec.Table, snap.SnapshotID, StepFailed, msg, nil)
+		return nil, errors.New(msg)
+	}
+	if err != nil {
+		return nil, err
 	}
 	res, err := sess.ExplainNextContext(ctx, next)
 	if err != nil {
@@ -664,7 +602,7 @@ func (s *Service) RunStep(ctx context.Context, rec jobs.Record, payload any) (*j
 		out.Cancelled = true
 		return out, nil
 	}
-	s.advanceChain(rec.Table, sess, snap.SnapshotID, next)
+	s.setChain(rec.Table, sess, snap.SnapshotID)
 	summary := summarizeStep(res)
 	if err := s.store.FinishStep(rec.Table, snap.SnapshotID, StepExplained, "", summary); err != nil {
 		return nil, err
@@ -678,79 +616,36 @@ func (s *Service) RunStep(ctx context.Context, rec jobs.Record, payload any) (*j
 	return out, nil
 }
 
-// sessionFor returns the session to explain rec's pair on: the live chain
-// session when its head matches the step's parent, a session re-seeded
-// from the retained head table, or — after a restart — one re-seeded from
-// the parent's blob. Returns nil only when the blob is unavailable.
-func (s *Service) sessionFor(ctx context.Context, rec jobs.Record, parent Record) *affidavit.Session {
-	s.mu.Lock()
-	cs := s.chains[rec.Table]
-	if cs == nil {
-		cs = &chainState{}
-		s.chains[rec.Table] = cs
+// sessionFor returns the session to explain rec's pair on: the cached
+// chain session when its head is the step's parent, else — after an
+// eviction or a restart — one re-seeded from the parent's blob.
+func (s *Service) sessionFor(ctx context.Context, rec jobs.Record, parent Record) (*affidavit.Session, error) {
+	if e, ok := s.cfg.Sessions.Get(registry.Key{Namespace: chainNS, Table: rec.Table}); ok && e.Head == rec.ParentID {
+		return e.Session, nil
 	}
-	if cs.sess != nil && cs.headID == rec.ParentID {
-		sess := cs.sess
-		s.mu.Unlock()
-		return sess
-	}
-	headTable := cs.headTable
-	headMatches := cs.headID == rec.ParentID && headTable != nil
-	s.mu.Unlock()
-	if headMatches {
-		sess := s.cfg.Explainer.Session(headTable)
-		s.mu.Lock()
-		cs.sess = sess
-		s.mu.Unlock()
-		return sess
-	}
-	parentTab, err := s.ingestBlob(ctx, parent.Blob)
+	parentTab, err := s.ingest.Ingest(ctx, parent.Blob, "snapshot")
 	if err != nil {
-		return nil
+		return nil, err
 	}
 	sess := s.cfg.Explainer.Session(parentTab)
-	s.mu.Lock()
-	cs.sess = sess
-	cs.headID = rec.ParentID
-	cs.headTable = parentTab
-	s.mu.Unlock()
-	return sess
+	s.setChain(rec.Table, sess, rec.ParentID)
+	return sess, nil
 }
 
-// advanceChain moves the table's chain head to the explained snapshot,
-// keeping the warm session.
-func (s *Service) advanceChain(table string, sess *affidavit.Session, headID string, head *affidavit.Table) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.chains[table] = &chainState{sess: sess, headID: headID, headTable: head}
+// setChain caches sess as the table's chain session, its head at the
+// snapshot headID.
+func (s *Service) setChain(table string, sess *affidavit.Session, headID string) {
+	s.cfg.Sessions.Put(registry.Key{Namespace: chainNS, Table: table}, registry.Entry{Session: sess, Head: headID})
 }
 
 // resetChain re-seeds the table's chain at the given snapshot with a
 // fresh session — the continue-from-here semantics of failed, refused and
 // interrupted steps.
 func (s *Service) resetChain(table, headID string, head *affidavit.Table, schemaChange bool) {
-	sess := s.cfg.Explainer.Session(head)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.chains[table] = &chainState{sess: sess, headID: headID, headTable: head}
+	s.setChain(table, s.cfg.Explainer.Session(head), headID)
 	if schemaChange {
-		s.schemaResets++
+		s.schemaResets.Add(1)
 	}
-}
-
-// ingestBlob re-interns a journaled snapshot upload. Failures are
-// transient — the blob may be on slow or briefly unavailable storage
-// (and is simply absent under an in-memory job store after a cancel).
-func (s *Service) ingestBlob(ctx context.Context, hash string) (*affidavit.Table, error) {
-	data, err := s.cfg.Jobs.Blobs().Get(hash)
-	if err != nil {
-		return nil, jobs.Transient(fmt.Errorf("catalog: replaying snapshot blob: %w", err))
-	}
-	tab, err := s.cfg.Explainer.ReadSourceNamed(ctx, affidavit.NewCSVSource(strings.NewReader(string(data))), "snapshot")
-	if err != nil {
-		return nil, fmt.Errorf("catalog: re-ingesting snapshot blob: %w", err)
-	}
-	return tab, nil
 }
 
 func equalSchema(a, b []string) bool {
@@ -763,54 +658,4 @@ func equalSchema(a, b []string) bool {
 		}
 	}
 	return true
-}
-
-// capBytes errors once more than max bytes flow through it (max ≤ 0
-// passes the reader through) — truncating silently would store a
-// different snapshot than the client pushed.
-func capBytes(r io.Reader, max int64) io.Reader {
-	if max <= 0 {
-		return r
-	}
-	return &byteCap{r: r, left: max}
-}
-
-type byteCap struct {
-	r    io.Reader
-	left int64
-}
-
-func (c *byteCap) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.left -= int64(n)
-	if c.left < 0 {
-		return n, fmt.Errorf("snapshot exceeds the byte limit (-max-snapshot)")
-	}
-	return n, err
-}
-
-// capRecords bounds a pushed snapshot's record count (max ≤ 0 =
-// unlimited).
-func capRecords(src affidavit.Source, max int) affidavit.Source {
-	if max <= 0 {
-		return src
-	}
-	return &recordCap{Source: src, left: max}
-}
-
-type recordCap struct {
-	affidavit.Source
-	left int
-}
-
-func (l *recordCap) Next() (affidavit.Record, error) {
-	rec, err := l.Source.Next()
-	if err != nil {
-		return nil, err
-	}
-	if l.left <= 0 {
-		return nil, fmt.Errorf("snapshot exceeds the record limit (-max-records)")
-	}
-	l.left--
-	return rec, nil
 }

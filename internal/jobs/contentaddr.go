@@ -9,6 +9,8 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+
+	"affidavit/internal/journal"
 )
 
 // Address hashes the given parts into a content address. Parts are
@@ -147,7 +149,7 @@ func (w *BlobWriter) Commit() (string, error) {
 	if err := os.Rename(tmp.Name(), path); err != nil {
 		return "", fmt.Errorf("jobs: blob store: %w", err)
 	}
-	syncDir(w.b.dir)
+	journal.SyncDir(w.b.dir)
 	return sum, nil
 }
 
@@ -202,16 +204,6 @@ func writeFileSync(path string, data []byte) error {
 	if err := os.Rename(tmp.Name(), path); err != nil {
 		return err
 	}
-	syncDir(dir)
+	journal.SyncDir(dir)
 	return nil
-}
-
-// syncDir fsyncs a directory so a rename into it survives power loss.
-func syncDir(dir string) {
-	d, err := os.Open(dir)
-	if err != nil {
-		return
-	}
-	d.Sync() // best effort: directory fsync is advisory on some systems
-	d.Close()
 }

@@ -141,9 +141,16 @@ func IsTransient(err error) bool {
 	return errors.As(err, &te)
 }
 
-// validate rejects records a hostile or torn journal could hold but a
+// JournalKey is the replay identity: the last journal line per job id
+// wins.
+func (r Record) JournalKey() string { return r.ID }
+
+// JournalSeq orders replayed jobs by submission.
+func (r Record) JournalSeq() uint64 { return r.Seq }
+
+// Validate rejects records a hostile or torn journal could hold but a
 // live store never writes.
-func (r *Record) validate() error {
+func (r Record) Validate() error {
 	if r.ID == "" {
 		return fmt.Errorf("jobs: journal record without id")
 	}

@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"affidavit/internal/journal"
 )
 
 func writeJournalFile(t testing.TB, data []byte) string {
@@ -32,7 +34,7 @@ func TestReplayLastLineWins(t *testing.T) {
 	for _, l := range lines {
 		data = append(data, l...)
 	}
-	recs, keep, err := replayJournal(writeJournalFile(t, data))
+	recs, keep, err := journal.Replay[Record](writeJournalFile(t, data), "jobs")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +56,7 @@ func TestReplayStopsAtCorruptLine(t *testing.T) {
 	good, _ := json.Marshal(Record{ID: "a", Seq: 0, State: StatePending})
 	data := append(append([]byte{}, good...), '\n')
 	data = append(data, []byte("{\"id\":\"b\",\"state\":\"nonsense\"}\n{\"id\":\"c\"")...)
-	recs, keep, err := replayJournal(writeJournalFile(t, data))
+	recs, keep, err := journal.Replay[Record](writeJournalFile(t, data), "jobs")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +79,7 @@ func FuzzJobJournal(f *testing.F) {
 	f.Add([]byte("not json at all\n"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		recs, keep, err := replayJournal(writeJournalFile(t, data))
+		recs, keep, err := journal.Replay[Record](writeJournalFile(t, data), "jobs")
 		if err != nil {
 			t.Skip() // I/O-level failure only; nothing to round-trip
 		}
@@ -87,7 +89,7 @@ func FuzzJobJournal(f *testing.F) {
 		encode := func(recs []Record) []byte {
 			var out []byte
 			for _, rec := range recs {
-				if rec.validate() != nil {
+				if rec.Validate() != nil {
 					t.Fatalf("replay accepted an invalid record: %+v", rec)
 				}
 				line, err := json.Marshal(rec)
@@ -102,7 +104,7 @@ func FuzzJobJournal(f *testing.F) {
 		// wrote replays losslessly. (The first replay may normalise, e.g.
 		// compacting whitespace inside the raw stats message.)
 		reencoded := encode(recs)
-		recs2, keep2, err := replayJournal(writeJournalFile(t, reencoded))
+		recs2, keep2, err := journal.Replay[Record](writeJournalFile(t, reencoded), "jobs")
 		if err != nil {
 			t.Fatalf("replaying re-encoded journal: %v", err)
 		}

@@ -8,6 +8,8 @@ import (
 	"strconv"
 	"sync"
 	"time"
+
+	"affidavit/internal/journal"
 )
 
 // Options configures Open.
@@ -36,8 +38,11 @@ type Store struct {
 	now          func() time.Time
 	compactEvery int
 
-	mu       sync.Mutex
-	jrnl     *journal // nil in memory mode
+	mu sync.Mutex
+	// jrnl is nil in memory mode. Its write failures latch: the store
+	// keeps serving from memory (availability over durability, like the
+	// spill manager's advisory budget) and Close surfaces the error.
+	jrnl     *journal.Journal[Record]
 	jobs     map[string]*Job
 	byAddr   map[string]*Job
 	order    []*Job // submission order (ascending Seq) — the listing order
@@ -45,10 +50,6 @@ type Store struct {
 	wake     chan struct{} // closed+replaced to broadcast queue changes
 	closed   bool
 	closedCh chan struct{}
-	// journalErr latches the first journal write failure: the store keeps
-	// serving from memory (availability over durability, like the spill
-	// manager's advisory budget) and Close surfaces the error.
-	journalErr error
 
 	submitted, dedupeHits, completed, failed, cancelled, retried, requeued int64
 }
@@ -84,7 +85,11 @@ func (j *Job) Record() Record {
 type Spec struct {
 	// Addr is the content address ("" = never dedupe; the job gets a
 	// unique id instead).
-	Addr   string
+	Addr string
+	// ID, when set, names a job that never dedupes (Addr must be empty),
+	// so a caller can journal references to the job before submitting it.
+	// Submitting an id that is already in the store fails.
+	ID     string
 	Table  string
 	Format string
 	Warm   bool
@@ -139,7 +144,7 @@ func Open(opts Options) (*Store, error) {
 	if opts.Dir == "" {
 		return s, nil
 	}
-	jrnl, recs, err := openJournal(filepath.Join(opts.Dir, "journal.jsonl"))
+	jrnl, recs, err := journal.Open[Record](filepath.Join(opts.Dir, "journal.jsonl"), "jobs")
 	if err != nil {
 		return nil, err
 	}
@@ -153,7 +158,7 @@ func Open(opts Options) (*Store, error) {
 			// for the same interruption.
 			j.rec.State = StatePending
 			j.rec.Requeues++
-			if err := jrnl.append(j.rec); err != nil {
+			if err := jrnl.Append(j.rec); err != nil {
 				return nil, err
 			}
 		case StateCompleted:
@@ -162,7 +167,7 @@ func Open(opts Options) (*Store, error) {
 				// loss as a terminal error instead of serving nothing.
 				j.rec.State = StateError
 				j.rec.Error = "result lost before shutdown; resubmit the pair"
-				if err := jrnl.append(j.rec); err != nil {
+				if err := jrnl.Append(j.rec); err != nil {
 					return nil, err
 				}
 			}
@@ -221,9 +226,17 @@ func (s *Store) Submit(spec Spec) (*Job, bool, error) {
 			return j, true, nil
 		}
 	}
+	if spec.ID != "" {
+		if _, dup := s.jobs[spec.ID]; dup || spec.Addr != "" {
+			return nil, false, fmt.Errorf("jobs: cannot submit job %s: id taken or spec addressed", spec.ID)
+		}
+	}
 	seq := s.seq
 	s.seq++
-	id := spec.Addr
+	id := spec.ID
+	if id == "" {
+		id = spec.Addr
+	}
 	if id == "" {
 		// Non-dedupable (warm-chain) jobs get a unique id salted with the
 		// sequence number — deterministic given the submission order,
@@ -375,15 +388,22 @@ func (s *Store) Result(id string) ([]byte, Record, error) {
 // lifetime-of-process counters.
 type Metrics struct {
 	// Queued and Running are current gauges.
-	Queued, Running int
+	Queued  int `json:"queued"`
+	Running int `json:"running"`
 	// The rest count since process start (journal replay does not
 	// reconstruct them — Prometheus counters reset on restart anyway).
-	Submitted, DedupeHits, Completed, Failed, Cancelled, Retried, Requeued int64
+	Submitted  int64 `json:"submitted"`
+	DedupeHits int64 `json:"dedupe_hits"`
+	Completed  int64 `json:"completed"`
+	Failed     int64 `json:"failed"`
+	Cancelled  int64 `json:"cancelled"`
+	Retried    int64 `json:"retried"`
+	Requeued   int64 `json:"requeued"`
 	// JournalError is the latched first journal write failure, "" while
 	// the store is durable (or in-memory). A non-empty value means the
 	// store degraded to availability-over-durability: jobs keep running
 	// but transitions since the failure would not survive a crash.
-	JournalError string
+	JournalError string `json:"journal_error,omitempty"`
 }
 
 // Metrics returns the current snapshot.
@@ -399,8 +419,8 @@ func (s *Store) Metrics() Metrics {
 		Retried:    s.retried,
 		Requeued:   s.requeued,
 	}
-	if s.journalErr != nil {
-		m.JournalError = s.journalErr.Error()
+	if err := s.jrnl.Err(); err != nil {
+		m.JournalError = err.Error()
 	}
 	for _, j := range s.order {
 		switch j.rec.State {
@@ -419,18 +439,12 @@ func (s *Store) Metrics() Metrics {
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return s.journalErr
+	if !s.closed {
+		s.closed = true
+		close(s.closedCh)
+		s.broadcastLocked()
 	}
-	s.closed = true
-	close(s.closedCh)
-	s.broadcastLocked()
-	if s.jrnl != nil {
-		if err := s.jrnl.close(); err != nil && s.journalErr == nil {
-			s.journalErr = err
-		}
-	}
-	return s.journalErr
+	return s.jrnl.Close()
 }
 
 // resultPath is the durable result file for a job id.
@@ -439,26 +453,17 @@ func (s *Store) resultPath(id string) string {
 }
 
 // appendLocked journals rec and compacts when the log has grown enough.
-// Journal failures latch journalErr; the in-memory state stays correct.
+// Journal failures latch in the journal; the in-memory state stays
+// correct.
 func (s *Store) appendLocked(rec Record) {
-	if s.jrnl == nil {
+	if s.jrnl.Append(rec) != nil || s.jrnl.Lines() < s.compactEvery {
 		return
 	}
-	if err := s.jrnl.append(rec); err != nil {
-		if s.journalErr == nil {
-			s.journalErr = err
-		}
-		return
+	live := make([]Record, len(s.order))
+	for i, j := range s.order {
+		live[i] = j.rec
 	}
-	if s.jrnl.lines >= s.compactEvery {
-		live := make([]Record, len(s.order))
-		for i, j := range s.order {
-			live[i] = j.rec
-		}
-		if err := s.jrnl.compact(live); err != nil && s.journalErr == nil {
-			s.journalErr = err
-		}
-	}
+	s.jrnl.Compact(live)
 }
 
 // broadcastLocked wakes every worker watching the queue.

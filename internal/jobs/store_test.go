@@ -92,6 +92,32 @@ func TestSubmitDedupeAndListOrder(t *testing.T) {
 	}
 }
 
+// TestSubmitCallerID: a caller-chosen id names the job, so references
+// to it can be journaled before submission; a taken id is refused.
+func TestSubmitCallerID(t *testing.T) {
+	s, err := Open(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	j, created, err := s.Submit(Spec{ID: "step-1", Table: "t"})
+	if err != nil || !created || j.ID() != "step-1" {
+		t.Fatalf("submit: id=%v created=%v err=%v", j, created, err)
+	}
+	if _, ok := s.Get("step-1"); !ok {
+		t.Fatal("job not found under its caller-chosen id")
+	}
+	if _, _, err := s.Submit(Spec{ID: "step-1", Table: "t"}); err == nil {
+		t.Fatal("a taken id was accepted twice")
+	}
+	if _, _, err := s.Submit(Spec{ID: "step-2", Addr: "addr"}); err == nil {
+		t.Fatal("an id on an addressed spec was accepted")
+	}
+	if m := s.Metrics(); m.Submitted != 1 {
+		t.Fatalf("refused submissions counted: %+v", m)
+	}
+}
+
 func TestResurrectFailedAddress(t *testing.T) {
 	s, err := Open(Options{})
 	if err != nil {

@@ -5,15 +5,16 @@ import (
 	"go/types"
 )
 
-// jobstoreScope names the journaling packages. The job subsystem and the
-// snapshot-history catalog share one determinism contract, distinct from
-// the explanation pipeline's: journal lines and content addresses are
-// compared byte-for-byte across process restarts, so replay and dedupe
-// only work while the on-disk encoding is a pure function of declared
-// struct fields.
+// jobstoreScope names the journaling packages. The job subsystem, the
+// snapshot-history catalog and the journal they share have one
+// determinism contract, distinct from the explanation pipeline's: journal
+// lines and content addresses are compared byte-for-byte across process
+// restarts, so replay and dedupe only work while the on-disk encoding is
+// a pure function of declared struct fields.
 var jobstoreScope = map[string]bool{
 	"jobs":    true,
 	"catalog": true,
+	"journal": true,
 }
 
 // JobStore guards the byte-stability invariants of the durable job store:

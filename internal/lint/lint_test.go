@@ -45,6 +45,10 @@ func TestJobStore(t *testing.T) {
 	linttest.Run(t, "testdata", "jobs", lint.JobStore)
 }
 
+func TestJobStoreJournal(t *testing.T) {
+	linttest.Run(t, "testdata", "journal", lint.JobStore)
+}
+
 func TestJobStoreOutOfScope(t *testing.T) {
 	// The same fixture under a different last path segment must be silent.
 	linttest.Run(t, "testdata", "notcritical", lint.JobStore)

@@ -244,7 +244,8 @@ type Result struct {
 // cheapest polled state is finalised with greedy value mappings and
 // converted like an ordinary end state — and returns that explanation with
 // Stats.Cancelled set and a nil error. Callers that must distinguish
-// complete from interrupted results check Stats.Cancelled.
+// complete from interrupted results check Stats.Cancelled. Complete or
+// not, a run never returns an explanation costlier than the trivial E∅.
 func Run(ctx context.Context, inst *delta.Instance, opts Options) (res *Result, err error) {
 	// Spilled tables cannot surface read errors through the table accessor
 	// signatures, so a failed spill-file read arrives as a *spill.ReadError
@@ -446,15 +447,12 @@ func Run(ctx context.Context, inst *delta.Instance, opts Options) (res *Result, 
 		if err != nil {
 			return nil, fmt.Errorf("search: converting end state: %w", err)
 		}
-	} else {
-		expl = delta.Trivial(inst)
 	}
-	if e.stats.Cancelled {
-		// Best-so-far must never be worse than the always-available E∅: a
-		// salvaged greedy finalisation can carry heavy mapping parameters.
-		if triv := delta.Trivial(inst); e.cm.Cost(triv) < e.cm.Cost(expl) {
-			expl = triv
-		}
+	// Complete or cancelled, no result may be worse than the
+	// always-available E∅: a complete search can still end on heavy
+	// mapping parameters, and a salvaged greedy finalisation even more so.
+	if expl == nil || e.cm.TrivialCost(inst.NumAttrs(), inst.Target.Len()) < e.cm.Cost(expl) {
+		expl = delta.Trivial(inst)
 	}
 	return finish(expl)
 }

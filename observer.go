@@ -4,10 +4,10 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"sync"
 
 	"affidavit/internal/obs"
+	"affidavit/internal/prom"
 )
 
 // Event is one pipeline event: snapshot ingest progress, the warm/cold/
@@ -244,47 +244,24 @@ func (m *MetricsObserver) Observe(ev Event) {
 func (m *MetricsObserver) WritePrometheus(w io.Writer) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	var err error
-	p := func(format string, args ...any) {
-		if err == nil {
-			_, err = fmt.Fprintf(w, format, args...)
-		}
+	hist := func(name, help string, h *histogram) prom.Row {
+		return prom.Histogram(name, help, histogramBounds[:], h.counts[:], h.sum, h.count)
 	}
-	labelled := func(name, help, label string, series map[string]int64) {
-		p("# HELP %s %s\n# TYPE %s counter\n", name, help, name)
-		keys := make([]string, 0, len(series))
-		for k := range series {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			p("%s{%s=%q} %d\n", name, label, k, series[k])
-		}
-	}
-	counter := func(name, help string, v int64) {
-		p("# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	hist := func(name, help string, h *histogram) {
-		p("# HELP %s %s\n# TYPE %s histogram\n", name, help, name)
-		for i, b := range histogramBounds {
-			p("%s_bucket{le=\"%g\"} %d\n", name, b, h.counts[i])
-		}
-		p("%s_bucket{le=\"+Inf\"} %d\n%s_sum %g\n%s_count %d\n", name, h.count, name, h.sum, name, h.count)
-	}
-	labelled("affidavit_ingested_records_total", "Records ingested from snapshot sources.", "snapshot", m.ingestedRecords)
-	labelled("affidavit_runs_started_total", "Explanation runs started, by start mode.", "mode", m.runsStarted)
-	counter("affidavit_runs_completed_total", "Explanation runs finished.", m.runsDone)
-	counter("affidavit_runs_cancelled_total", "Explanation runs interrupted by context.", m.runsCancelled)
-	counter("affidavit_search_polls_total", "Search states extracted from the queue.", m.polls)
-	counter("affidavit_search_states_costed_total", "Candidate states costed.", m.statesCosted)
-	counter("affidavit_finalizations_total", "Best-so-far salvage finalisations.", m.finalizations)
-	counter("affidavit_conversions_total", "End-state explanation conversions.", m.conversions)
-	counter("affidavit_spill_bytes_total", "Bytes written to spill files under a memory budget.", m.spillBytes)
-	counter("affidavit_spill_partitions_total", "External partitions created by out-of-core grouping and matching.", m.spillParts)
-	p("# HELP affidavit_explanation_cost_sum Sum of final explanation costs.\n# TYPE affidavit_explanation_cost_sum counter\naffidavit_explanation_cost_sum %g\n", m.costSum)
-	hist("affidavit_run_duration_seconds", "Wall-clock duration of completed explanation runs, from traces.", &m.runSeconds)
-	hist("affidavit_ingest_duration_seconds", "Wall-clock duration of the ingest phase of traced runs.", &m.ingestSeconds)
-	return err
+	return prom.Write(w,
+		prom.Labelled("affidavit_ingested_records_total", "Records ingested from snapshot sources.", "snapshot", m.ingestedRecords),
+		prom.Labelled("affidavit_runs_started_total", "Explanation runs started, by start mode.", "mode", m.runsStarted),
+		prom.Int("affidavit_runs_completed_total", "counter", "Explanation runs finished.", m.runsDone),
+		prom.Int("affidavit_runs_cancelled_total", "counter", "Explanation runs interrupted by context.", m.runsCancelled),
+		prom.Int("affidavit_search_polls_total", "counter", "Search states extracted from the queue.", m.polls),
+		prom.Int("affidavit_search_states_costed_total", "counter", "Candidate states costed.", m.statesCosted),
+		prom.Int("affidavit_finalizations_total", "counter", "Best-so-far salvage finalisations.", m.finalizations),
+		prom.Int("affidavit_conversions_total", "counter", "End-state explanation conversions.", m.conversions),
+		prom.Int("affidavit_spill_bytes_total", "counter", "Bytes written to spill files under a memory budget.", m.spillBytes),
+		prom.Int("affidavit_spill_partitions_total", "counter", "External partitions created by out-of-core grouping and matching.", m.spillParts),
+		prom.Float("affidavit_explanation_cost_sum", "counter", "Sum of final explanation costs.", m.costSum),
+		hist("affidavit_run_duration_seconds", "Wall-clock duration of completed explanation runs, from traces.", &m.runSeconds),
+		hist("affidavit_ingest_duration_seconds", "Wall-clock duration of the ingest phase of traced runs.", &m.ingestSeconds),
+	)
 }
 
 // SpillTotals returns the aggregated out-of-core volume the observer has
